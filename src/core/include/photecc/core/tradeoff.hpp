@@ -21,17 +21,13 @@ struct TradeoffSweep {
 };
 
 /// Evaluates every code at every BER target (BER-major, code-minor
-/// order).  Cells are evaluated through the same deterministic parallel
-/// primitive as explore::SweepRunner (math::parallel_for with
-/// slot-indexed writes): `threads` = 1 runs sequentially on the calling
-/// thread, 0 uses hardware concurrency, and the returned points are
-/// identical for any thread count.  For multi-axis sweeps use
-/// explore::ScenarioGrid, the declarative front-end of this engine.
+/// order), sequentially on the calling thread.  For multi-axis or
+/// parallel sweeps use explore::ScenarioGrid, whose LoweredPlan runs the
+/// same per-cell evaluation.
 TradeoffSweep sweep_tradeoff(const link::MwsrChannel& channel,
                              const std::vector<ecc::BlockCodePtr>& codes,
                              const std::vector<double>& ber_targets,
-                             const SystemConfig& config = {},
-                             std::size_t threads = 1);
+                             const SystemConfig& config = {});
 
 /// True when `a` is dominated by `b` (b no worse on both objectives and
 /// strictly better on at least one).  Infeasible points are dominated by

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "photecc/math/parallel.hpp"
-
 namespace photecc::core {
 
 bool is_dominated(const SchemeMetrics& a, const SchemeMetrics& b) {
@@ -43,22 +41,17 @@ std::vector<std::size_t> TradeoffSweep::pareto_front() const {
 TradeoffSweep sweep_tradeoff(const link::MwsrChannel& channel,
                              const std::vector<ecc::BlockCodePtr>& codes,
                              const std::vector<double>& ber_targets,
-                             const SystemConfig& config,
-                             std::size_t threads) {
+                             const SystemConfig& config) {
   TradeoffSweep sweep;
   if (codes.empty() || ber_targets.empty()) return sweep;
   // Lower once: the plan hoists the worst-channel scan and per-code
   // constants, so each cell only runs the (code, BER) inversion and the
   // closed-form tail — bit-identical to per-cell evaluate_scheme.
   const ChannelSweepPlan plan{channel, codes, config};
-  // Slot-indexed writes through the shared parallel engine keep the
-  // BER-major, code-minor point order identical for any thread count.
-  sweep.points.resize(codes.size() * ber_targets.size());
-  math::parallel_for(
-      sweep.points.size(), threads, [&](std::size_t i) {
-        sweep.points[i] = plan.evaluate(i % codes.size(),
-                                        ber_targets[i / codes.size()]);
-      });
+  sweep.points.reserve(codes.size() * ber_targets.size());
+  for (const double ber : ber_targets)
+    for (std::size_t c = 0; c < codes.size(); ++c)
+      sweep.points.push_back(plan.evaluate(c, ber));
   return sweep;
 }
 

@@ -1,18 +1,16 @@
 #include "photecc/explore/evaluators.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
-
-#include <algorithm>
 
 #include "photecc/cooling/cooling_code.hpp"
 #include "photecc/core/channel_power.hpp"
 #include "photecc/ecc/registry.hpp"
 #include "photecc/link/link_budget.hpp"
 #include "photecc/noc/network.hpp"
-#include "photecc/noc/simulator.hpp"
 #include "photecc/noc/traffic.hpp"
 
 namespace photecc::explore {
@@ -176,58 +174,59 @@ void set_aggregate_metrics(CellResult& result, const noc::NocStats& stats,
   }
 }
 
-}  // namespace
-
-CellResult evaluate_noc_cell(const Scenario& scenario) {
-  cooling::register_cooling_codes();
-  CellResult result;
-  result.index = scenario.index;
-  result.labels = scenario.labels;
-
-  noc::NocConfig config;
-  config.oni_count = scenario.link.oni_count;
-  config.link_params = scenario.link;
-  config.system = scenario.system;
-  config.scheme_menu = scenario.code
-                           ? std::vector<ecc::BlockCodePtr>{ecc::make_code(
-                                 *scenario.code)}
-                           : ecc::paper_schemes();
-  config.default_requirements.target_ber = scenario.target_ber;
-  config.default_requirements.policy = scenario.policy;
-  config.laser_gating = scenario.laser_gating;
-  const double duty_bound = menu_duty_bound(config.scheme_menu);
-
-  const noc::NocSimulator simulator{std::move(config)};
-  const auto generator = make_generator(scenario);
-  const noc::NocRunResult run =
-      simulator.run(*generator, scenario.noc_horizon_s, scenario.seed);
-
-  set_aggregate_metrics(result, run.stats, run.total_payload_bits,
-                        scenario.link.environment.has_value());
-  if (scenario.cooling_weight) result.set_metric("duty_bound", duty_bound);
-  return result;
+noc::NetworkTopology::Mapping parse_mapping(const std::string& mapping) {
+  if (mapping == "interleaved")
+    return noc::NetworkTopology::Mapping::kInterleaved;
+  if (mapping == "blocked") return noc::NetworkTopology::Mapping::kBlocked;
+  throw std::invalid_argument("NetworkSpec: unknown mapping '" + mapping +
+                              "' (expected interleaved or blocked)");
 }
 
-CellResult evaluate_network_cell(const Scenario& scenario) {
-  if (!scenario.network) return evaluate_noc_cell(scenario);
-  cooling::register_cooling_codes();
-  const NetworkSpec& net = *scenario.network;
+/// Per-channel overrides declared by a NetworkSpec (empty when it
+/// declares none).
+std::vector<noc::NetworkChannelConfig> channel_overrides(
+    const NetworkSpec& net) {
+  if (!net.channel_codes.empty() &&
+      net.channel_codes.size() != net.channel_count)
+    throw std::invalid_argument(
+        "NetworkSpec: channel_codes must name one code per channel");
+  if (!net.channel_environments.empty() &&
+      net.channel_environments.size() != net.channel_count)
+    throw std::invalid_argument(
+        "NetworkSpec: channel_environments must give one timeline per "
+        "channel");
+  std::vector<noc::NetworkChannelConfig> channels;
+  if (net.channel_codes.empty() && net.channel_environments.empty())
+    return channels;
+  channels.resize(net.channel_count);
+  for (std::size_t ch = 0; ch < net.channel_count; ++ch) {
+    if (!net.channel_codes.empty() && !net.channel_codes[ch].empty())
+      channels[ch].scheme_menu = {ecc::make_code(net.channel_codes[ch])};
+    if (!net.channel_environments.empty())
+      channels[ch].environment = net.channel_environments[ch].second;
+  }
+  return channels;
+}
 
+/// The one NoC evaluation path.  `net` null simulates the paper's
+/// Fig. 2a topology — one reader channel per ONI, topology = {n, n} —
+/// and publishes the aggregate columns only; otherwise the NetworkSpec's
+/// topology and overrides run and the "ch<k>_*" columns follow.
+CellResult evaluate_on_network(const Scenario& scenario,
+                               const NetworkSpec* net) {
+  cooling::register_cooling_codes();
   CellResult result;
   result.index = scenario.index;
   result.labels = scenario.labels;
 
   noc::NetworkConfig config;
-  config.topology.tile_count = net.tile_count;
-  config.topology.channel_count = net.channel_count;
-  if (net.mapping == "interleaved")
-    config.topology.mapping = noc::NetworkTopology::Mapping::kInterleaved;
-  else if (net.mapping == "blocked")
-    config.topology.mapping = noc::NetworkTopology::Mapping::kBlocked;
-  else
-    throw std::invalid_argument("NetworkSpec: unknown mapping '" +
-                                net.mapping +
-                                "' (expected interleaved or blocked)");
+  if (net) {
+    config.topology = {net->tile_count, net->channel_count,
+                       parse_mapping(net->mapping)};
+    config.channels = channel_overrides(*net);
+  } else {
+    config.topology = {scenario.link.oni_count, scenario.link.oni_count};
+  }
   config.base_link = scenario.link;
   config.system = scenario.system;
   config.scheme_menu = scenario.code
@@ -238,44 +237,18 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
   config.default_requirements.policy = scenario.policy;
   config.laser_gating = scenario.laser_gating;
 
-  if (!net.channel_codes.empty() &&
-      net.channel_codes.size() != net.channel_count)
-    throw std::invalid_argument(
-        "NetworkSpec: channel_codes must name one code per channel");
-  if (!net.channel_environments.empty() &&
-      net.channel_environments.size() != net.channel_count)
-    throw std::invalid_argument(
-        "NetworkSpec: channel_environments must give one timeline per "
-        "channel");
-  if (!net.channel_codes.empty() || !net.channel_environments.empty()) {
-    config.channels.resize(net.channel_count);
-    for (std::size_t ch = 0; ch < net.channel_count; ++ch) {
-      if (!net.channel_codes.empty() && !net.channel_codes[ch].empty())
-        config.channels[ch].scheme_menu = {
-            ecc::make_code(net.channel_codes[ch])};
-      if (!net.channel_environments.empty())
-        config.channels[ch].environment = net.channel_environments[ch].second;
-    }
-  }
-
-  const bool env_columns = scenario.link.environment.has_value() ||
-                           !net.channel_environments.empty();
+  const bool env_columns =
+      scenario.link.environment.has_value() ||
+      (net && !net->channel_environments.empty());
   // The network-wide duty bound is the loosest channel's: every channel
   // without a pinned cooling code can light all its wires.
-  double duty_bound = net.channel_codes.empty()
-                          ? menu_duty_bound(config.scheme_menu)
-                          : 0.0;
-  if (!net.channel_codes.empty()) {
-    const double menu_bound = menu_duty_bound(config.scheme_menu);
-    for (std::size_t ch = 0; ch < net.channel_count; ++ch) {
-      const bool pinned =
-          ch < config.channels.size() && !config.channels[ch].scheme_menu.empty();
-      duty_bound = std::max(
-          duty_bound, pinned
-                          ? menu_duty_bound(config.channels[ch].scheme_menu)
-                          : menu_bound);
-    }
-  }
+  const double menu_bound = menu_duty_bound(config.scheme_menu);
+  double duty_bound = config.channels.empty() ? menu_bound : 0.0;
+  for (const noc::NetworkChannelConfig& channel : config.channels)
+    duty_bound = std::max(duty_bound,
+                          channel.scheme_menu.empty()
+                              ? menu_bound
+                              : menu_duty_bound(channel.scheme_menu));
 
   const noc::NetworkSimulator simulator{std::move(config)};
   const auto generator = make_generator(scenario);
@@ -285,6 +258,7 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
   set_aggregate_metrics(result, run.stats.aggregate, run.total_payload_bits,
                         env_columns);
   if (scenario.cooling_weight) result.set_metric("duty_bound", duty_bound);
+  if (!net) return result;
 
   for (std::size_t ch = 0; ch < run.stats.channels.size(); ++ch) {
     const noc::NocStats& cs = run.stats.channels[ch];
@@ -304,6 +278,17 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
                       static_cast<double>(cs.recalibrations));
   }
   return result;
+}
+
+}  // namespace
+
+CellResult evaluate_noc_cell(const Scenario& scenario) {
+  return evaluate_on_network(scenario, nullptr);
+}
+
+CellResult evaluate_network_cell(const Scenario& scenario) {
+  return evaluate_on_network(
+      scenario, scenario.network ? &*scenario.network : nullptr);
 }
 
 }  // namespace photecc::explore

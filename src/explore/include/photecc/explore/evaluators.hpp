@@ -57,22 +57,23 @@ namespace photecc::explore {
 /// the core bridges.
 [[nodiscard]] CellResult evaluate_link_cell(const Scenario& scenario);
 
-/// Dynamic evaluation: one NocSimulator::run seeded with the scenario's
-/// deterministic seed.  The scheme menu is the scenario's single code
-/// when the code axis is set, else the paper's adaptive three-scheme
-/// menu.  Metrics: noc_cell_metric_names() — delivered, dropped,
-/// deadline_misses, mean_latency_s, p95_latency_s, max_latency_s,
-/// total_energy_j, laser_energy_j, idle_laser_energy_j,
-/// energy_per_bit_j, busy_time_s.
+/// Dynamic evaluation of the paper's Fig. 2a topology: one
+/// NetworkSimulator::run with one reader channel per ONI (topology =
+/// {n, n}, n = the scenario's ONI count), seeded with the scenario's
+/// deterministic seed.  Any NetworkSpec on the scenario is ignored.  The
+/// scheme menu is the scenario's single code when the code axis is set,
+/// else the paper's adaptive three-scheme menu.  Metrics:
+/// noc_cell_metric_names() — delivered, dropped, deadline_misses,
+/// mean_latency_s, p95_latency_s, max_latency_s, total_energy_j,
+/// laser_energy_j, idle_laser_energy_j, energy_per_bit_j, busy_time_s.
 [[nodiscard]] CellResult evaluate_noc_cell(const Scenario& scenario);
 
 /// Tiled-network evaluation: one NetworkSimulator::run over the
 /// scenario's NetworkSpec.  Aggregate metrics are the evaluate_noc_cell
 /// set (env columns appended when the scenario or any channel declares
 /// an environment), followed by "ch<k>_<metric>" columns per channel
-/// (network_channel_metric_names()).  Falls back to evaluate_noc_cell
-/// when the scenario has no NetworkSpec, so mixed grids stay
-/// column-compatible.
+/// (network_channel_metric_names()).  Without a NetworkSpec it is
+/// evaluate_noc_cell, so mixed grids stay column-compatible.
 [[nodiscard]] CellResult evaluate_network_cell(const Scenario& scenario);
 
 }  // namespace photecc::explore

@@ -91,7 +91,7 @@ struct Scenario {
   core::SystemConfig system{};
   std::optional<TrafficSpec> traffic;  ///< set when the grid has NoC axes
   /// Tiled-network configuration; set when the grid declares one (the
-  /// cell then evaluates on NetworkSimulator instead of NocSimulator).
+  /// cell then simulates this topology instead of one channel per ONI).
   std::optional<NetworkSpec> network;
   bool laser_gating = true;
   core::Policy policy = core::Policy::kMinEnergy;

@@ -1,5 +1,5 @@
 // Deterministic parallel execution over an index space — the execution
-// primitive shared by core::sweep_tradeoff and explore::SweepRunner.
+// primitive of explore::SweepRunner and explore::LoweredPlan.
 //
 // Indices are handed out through an atomic counter (work-stealing from a
 // shared queue of one-cell tasks), so the *scheduling* is
@@ -22,9 +22,15 @@ namespace photecc::math {
 /// Evaluates fn(i) for every i in [0, n) exactly once using `threads`
 /// workers (0 = default_thread_count(); 1 = inline on the calling
 /// thread, no spawning).  Blocks until every index has been evaluated.
-/// If any invocation throws, remaining indices are abandoned and the
-/// first exception is rethrown on the calling thread after the workers
-/// join.
+///
+/// If any invocation throws, every worker joins and the first exception
+/// is rethrown on the calling thread; no index runs more than once.
+/// Abandonment of the remaining indices is exact only inline (threads
+/// == 1: nothing after the throwing index runs).  With several workers
+/// it is best effort: a worker stops claiming indices once it sees the
+/// failure, but the other workers may finish any number of indices —
+/// all of them, for a cheap body — before the throwing worker records
+/// it.
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn);
 

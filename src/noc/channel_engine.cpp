@@ -85,26 +85,23 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
     return phase_cursor;
   };
 
-  const auto pending_count = [&] {
-    std::size_t count = 0;
-    for (const auto& q : queues) count += q.size();
-    return count;
-  };
+  // Messages admitted to the queues and not yet granted.
+  std::size_t pending = 0;
 
-  while (arrival_index < messages.size() || pending_count() > 0) {
+  while (arrival_index < messages.size() || pending > 0) {
     // Admit every arrival up to `now`; if the channel is idle with no
     // pending work, fast-forward to the next arrival.
-    if (pending_count() == 0 &&
-        messages[arrival_index].creation_time_s > now) {
+    if (pending == 0 && messages[arrival_index].creation_time_s > now) {
       now = messages[arrival_index].creation_time_s;
     }
     while (arrival_index < messages.size() &&
            messages[arrival_index].creation_time_s <= now + 1e-15) {
       const Message& m = messages[arrival_index];
       queues[m.source].push_back(m);
+      ++pending;
       ++arrival_index;
     }
-    if (pending_count() == 0) continue;
+    if (pending == 0) continue;
 
     // Round-robin grant.
     std::size_t granted = rr_next;
@@ -118,6 +115,7 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
     rr_next = (granted + 1) % params.queue_count;
     Message msg = queues[granted].front();
     queues[granted].pop_front();
+    --pending;
 
     const double grant_time = std::max(now, msg.creation_time_s);
 

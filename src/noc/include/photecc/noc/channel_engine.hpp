@@ -1,6 +1,5 @@
-// The per-channel discrete-event engine shared by NocSimulator (one
-// reader channel per ONI, homogeneous) and NetworkSimulator (K channels
-// with per-channel managers, menus and thermal timelines).
+// The per-channel discrete-event engine of NetworkSimulator (K
+// channels with per-channel managers, menus and thermal timelines).
 //
 // One call simulates one MWSR channel: round-robin arbitration over
 // per-writer virtual-channel queues, laser gating/wake, closed-loop
@@ -8,13 +7,12 @@
 // paper's per-transfer energy model.  The engine itself holds no
 // totals — every statistic is written through one or more ChannelSinks.
 //
-// The multi-sink design is what keeps the refactor bit-identical: a
-// network run hands each channel BOTH its per-channel sink and the
-// shared aggregate sink, so the aggregate accumulates message by
-// message in channel order — the exact floating-point addition order of
-// the original single-loop simulator.  Summing per-channel subtotals
-// after the fact would regroup the additions ((a+b)+(c+d) instead of
-// ((a+b)+c)+d) and drift in the last ulp.
+// The multi-sink design keeps the aggregate exact: a network run hands
+// each channel BOTH its per-channel sink and the shared aggregate sink,
+// so the aggregate accumulates message by message in channel order.
+// Summing per-channel subtotals after the fact would regroup the
+// additions ((a+b)+(c+d) instead of ((a+b)+c)+d) and drift in the last
+// ulp.
 #ifndef PHOTECC_NOC_CHANNEL_ENGINE_HPP
 #define PHOTECC_NOC_CHANNEL_ENGINE_HPP
 
@@ -28,7 +26,7 @@
 #include "photecc/env/environment.hpp"
 #include "photecc/math/stats.hpp"
 #include "photecc/noc/message.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 
 namespace photecc::noc {
 
@@ -51,10 +49,9 @@ struct ChannelSink {
 
 /// Static inputs of one channel run.
 struct ChannelParams {
-  /// Writer virtual-channel queues, one per message source index.  The
-  /// single-channel simulator queues per ONI; the network queues per
-  /// tile.  This is an addressing size, independent of the photonic
-  /// oni_count the link budget was solved with.
+  /// Writer virtual-channel queues, one per message source tile.  This
+  /// is an addressing size, independent of the photonic oni_count the
+  /// link budget was solved with.
   std::size_t queue_count = 0;
   std::size_t wavelengths = 0;
   double f_mod_hz = 0.0;
@@ -81,8 +78,8 @@ struct ChannelParams {
 /// and accumulates into every sink.  `baseline_feasible` classifies a
 /// drop as thermal when the request is feasible at the t = 0 baseline;
 /// it is consulted only on drops under an environment timeline, and the
-/// caller owns any caching (the single-channel simulator shares one
-/// cache across channels because they share one manager).
+/// caller owns any caching (NetworkSimulator shares one cache across
+/// channels that share one manager).
 void run_channel(std::vector<Message>& messages, const ChannelParams& params,
                  const std::shared_ptr<const core::LinkManager>& manager,
                  const std::function<bool(const core::CommunicationRequest&)>&

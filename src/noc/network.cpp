@@ -1,5 +1,6 @@
 #include "photecc/noc/network.hpp"
 
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -57,8 +58,17 @@ NetworkSimulator::NetworkSimulator(NetworkConfig config)
 
   managers_.reserve(channel_count);
   has_env_.reserve(channel_count);
+  std::shared_ptr<core::LinkManager> inherited;  // built on first use
   for (std::size_t ch = 0; ch < channel_count; ++ch) {
-    NetworkChannelConfig& overrides = config_.channels[ch];
+    const NetworkChannelConfig& overrides = config_.channels[ch];
+    const bool inherits = !overrides.environment &&
+                          overrides.scheme_menu.empty() &&
+                          overrides.oni_count == 0;
+    if (inherits && inherited) {
+      managers_.push_back(inherited);
+      has_env_.push_back(config_.base_link.environment.has_value());
+      continue;
+    }
     link::MwsrParams link = config_.base_link;
     if (overrides.environment) link.environment = overrides.environment;
     const std::size_t oni =
@@ -73,6 +83,7 @@ NetworkSimulator::NetworkSimulator(NetworkConfig config)
     managers_.push_back(std::make_shared<core::LinkManager>(
         link::MwsrChannel(link), menu, system));
     has_env_.push_back(link.environment.has_value());
+    if (inherits) inherited = managers_.back();
   }
 }
 
@@ -133,8 +144,7 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
         }
       };
 
-  // Aggregate accumulators (message order = channel-major, the exact
-  // accumulation order of the single-channel simulator).
+  // Aggregate accumulators, filled in message order (channel-major).
   std::vector<double> agg_latencies;
   std::map<TrafficClass, math::RunningStats> agg_class_latency;
   std::vector<NocPhaseStats> agg_phase_stats;
@@ -165,6 +175,13 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
   aggregate.phase_stats = shared_env ? &agg_phase_stats : nullptr;
   aggregate.phase_latency = shared_env ? &agg_phase_latency : nullptr;
 
+  // Baseline (t = 0) feasibility per request, for classifying drops as
+  // thermal: solved lazily against the channel's manager and cached per
+  // manager, so channels sharing one manager share one cache.
+  using FeasibilityCache =
+      std::vector<std::pair<core::CommunicationRequest, bool>>;
+  std::map<const core::LinkManager*, FeasibilityCache> baseline_caches;
+
   for (std::size_t ch = 0; ch < channel_count; ++ch) {
     params.channel_index = ch;
     params.has_env = has_env_[ch];
@@ -188,14 +205,13 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
     sink.phase_stats = has_env_[ch] ? &phase_stats : nullptr;
     sink.phase_latency = has_env_[ch] ? &phase_latency : nullptr;
 
-    // Thermal drop classification solves against this channel's own
-    // manager (its link budget and menu), cached per channel.
-    std::vector<std::pair<core::CommunicationRequest, bool>> baseline_cache;
+    const core::LinkManager& manager = *managers_[ch];
+    FeasibilityCache& baseline_cache = baseline_caches[&manager];
     const auto baseline_feasible =
         [&](const core::CommunicationRequest& r) {
           for (const auto& [request, feasible] : baseline_cache)
             if (request == r) return feasible;
-          const bool feasible = managers_[ch]->configure(r).has_value();
+          const bool feasible = manager.configure(r).has_value();
           baseline_cache.emplace_back(r, feasible);
           return feasible;
         };

@@ -7,45 +7,50 @@
 #include "photecc/ecc/registry.hpp"
 #include "photecc/explore/evaluators.hpp"
 #include "photecc/explore/runner.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 #include "photecc/noc/traffic.hpp"
 
 namespace photecc::explore {
 namespace {
 
 TEST(NocDeterminism, SameSeedSameStats) {
-  noc::NocConfig config;
+  noc::NetworkConfig config;
+  config.topology = {12, 12};
   config.scheme_menu = ecc::paper_schemes();
-  const noc::NocSimulator simulator{config};
-  const noc::UniformRandomTraffic traffic{config.oni_count, 2e8, 4096};
+  const noc::NetworkSimulator simulator{config};
+  const noc::UniformRandomTraffic traffic{12, 2e8, 4096};
 
   const auto a = simulator.run(traffic, 1e-6, 1234);
   const auto b = simulator.run(traffic, 1e-6, 1234);
-  EXPECT_EQ(a.stats.delivered, b.stats.delivered);
-  EXPECT_EQ(a.stats.dropped, b.stats.dropped);
-  EXPECT_EQ(a.stats.deadline_misses, b.stats.deadline_misses);
-  EXPECT_EQ(a.stats.mean_latency_s, b.stats.mean_latency_s);
-  EXPECT_EQ(a.stats.max_latency_s, b.stats.max_latency_s);
-  EXPECT_EQ(a.stats.p95_latency_s, b.stats.p95_latency_s);
-  EXPECT_EQ(a.stats.total_energy_j, b.stats.total_energy_j);
-  EXPECT_EQ(a.stats.laser_energy_j, b.stats.laser_energy_j);
-  EXPECT_EQ(a.stats.mr_energy_j, b.stats.mr_energy_j);
-  EXPECT_EQ(a.stats.codec_energy_j, b.stats.codec_energy_j);
-  EXPECT_EQ(a.stats.idle_laser_energy_j, b.stats.idle_laser_energy_j);
-  EXPECT_EQ(a.stats.busy_time_s, b.stats.busy_time_s);
-  EXPECT_EQ(a.stats.scheme_usage, b.stats.scheme_usage);
-  EXPECT_EQ(a.stats.class_mean_latency_s, b.stats.class_mean_latency_s);
+  EXPECT_EQ(a.stats.aggregate.delivered, b.stats.aggregate.delivered);
+  EXPECT_EQ(a.stats.aggregate.dropped, b.stats.aggregate.dropped);
+  EXPECT_EQ(a.stats.aggregate.deadline_misses,
+            b.stats.aggregate.deadline_misses);
+  EXPECT_EQ(a.stats.aggregate.mean_latency_s, b.stats.aggregate.mean_latency_s);
+  EXPECT_EQ(a.stats.aggregate.max_latency_s, b.stats.aggregate.max_latency_s);
+  EXPECT_EQ(a.stats.aggregate.p95_latency_s, b.stats.aggregate.p95_latency_s);
+  EXPECT_EQ(a.stats.aggregate.total_energy_j, b.stats.aggregate.total_energy_j);
+  EXPECT_EQ(a.stats.aggregate.laser_energy_j, b.stats.aggregate.laser_energy_j);
+  EXPECT_EQ(a.stats.aggregate.mr_energy_j, b.stats.aggregate.mr_energy_j);
+  EXPECT_EQ(a.stats.aggregate.codec_energy_j, b.stats.aggregate.codec_energy_j);
+  EXPECT_EQ(a.stats.aggregate.idle_laser_energy_j,
+            b.stats.aggregate.idle_laser_energy_j);
+  EXPECT_EQ(a.stats.aggregate.busy_time_s, b.stats.aggregate.busy_time_s);
+  EXPECT_EQ(a.stats.aggregate.scheme_usage, b.stats.aggregate.scheme_usage);
+  EXPECT_EQ(a.stats.aggregate.class_mean_latency_s,
+            b.stats.aggregate.class_mean_latency_s);
   EXPECT_EQ(a.total_payload_bits, b.total_payload_bits);
 }
 
 TEST(NocDeterminism, DifferentSeedsProduceDifferentSchedules) {
-  noc::NocConfig config;
+  noc::NetworkConfig config;
+  config.topology = {12, 12};
   config.scheme_menu = ecc::paper_schemes();
-  const noc::NocSimulator simulator{config};
-  const noc::UniformRandomTraffic traffic{config.oni_count, 2e8, 4096};
+  const noc::NetworkSimulator simulator{config};
+  const noc::UniformRandomTraffic traffic{12, 2e8, 4096};
   const auto a = simulator.run(traffic, 1e-6, 1);
   const auto b = simulator.run(traffic, 1e-6, 2);
-  EXPECT_NE(a.stats.mean_latency_s, b.stats.mean_latency_s);
+  EXPECT_NE(a.stats.aggregate.mean_latency_s, b.stats.aggregate.mean_latency_s);
 }
 
 TEST(SweepDeterminism, LinkGridExportsAreThreadCountInvariant) {
@@ -145,23 +150,6 @@ TEST(EngineBridge, Fig6bFrontMatchesCoreSweepTradeoff) {
   for (std::size_t i = 0; i < engine_front.size(); ++i) {
     EXPECT_EQ(engine.cells[engine_front[i]].scheme->scheme,
               reference.points[reference_front[i]].scheme);
-  }
-}
-
-TEST(CoreSweep, ParallelThreadsMatchSequential) {
-  const link::MwsrChannel channel{link::MwsrParams{}};
-  const std::vector<double> bers{1e-6, 1e-9, 1e-12};
-  const auto sequential =
-      core::sweep_tradeoff(channel, ecc::paper_schemes(), bers, {}, 1);
-  const auto parallel =
-      core::sweep_tradeoff(channel, ecc::paper_schemes(), bers, {}, 4);
-  ASSERT_EQ(sequential.points.size(), parallel.points.size());
-  for (std::size_t i = 0; i < sequential.points.size(); ++i) {
-    EXPECT_EQ(sequential.points[i].scheme, parallel.points[i].scheme);
-    EXPECT_EQ(sequential.points[i].p_channel_w,
-              parallel.points[i].p_channel_w);
-    EXPECT_EQ(sequential.points[i].energy_per_bit_j,
-              parallel.points[i].energy_per_bit_j);
   }
 }
 

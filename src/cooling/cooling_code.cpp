@@ -1,10 +1,10 @@
 #include "photecc/cooling/cooling_code.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -186,46 +186,42 @@ codec::BitSlab CoolingScheme::encode_batch(
         "CoolingScheme::encode_batch: message size " +
         std::to_string(messages.bits()) + " != " + std::to_string(k));
   }
-  // Lane-serial enumerative unrank into the inner message slab, then
-  // the inner code's batch kernel.
+  // Lane-serial enumerative unrank of every lane's k-bit value (k <= 63,
+  // so one block transpose gathers them all), word-parallel scatter of
+  // the unranked words, then the inner batch kernel.
+  const auto values = messages.lane_words(0);
   codec::BitSlab inner_messages(inner_->message_length(), messages.lanes());
+  std::vector<std::array<std::uint64_t, codec::BitSlab::kLanes>> blocks(
+      (inner_messages.bits() + 63) / 64);
   for (std::size_t l = 0; l < messages.lanes(); ++l) {
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < k; ++i)
-      value |= ((messages.word(i) >> l) & 1u) << i;
-    const ecc::BitVec word = coder_.unrank(value);
-    const std::span<const std::uint64_t> ww = word.words();
-    for (std::size_t i = 0; i < word.size(); ++i)
-      inner_messages.word(i) |= ((ww[i / 64] >> (i % 64)) & 1u) << l;
+    const ecc::BitVec word = coder_.unrank(values[l]);
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+      blocks[b][l] = word.words()[b];
   }
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    inner_messages.set_lane_words(b, blocks[b]);
   return inner_->encode_batch(inner_messages);
 }
 
 ecc::BatchDecodeResult CoolingScheme::decode_batch(
     const codec::BitSlab& received) const {
-  ecc::BatchDecodeResult inner_result = inner_->decode_batch(received);
+  ecc::BatchDecodeResult result = inner_->decode_batch(received);
   const std::size_t k = message_length();
-  ecc::BatchDecodeResult result;
-  result.messages = codec::BitSlab(k, received.lanes());
-  result.error_detected = inner_result.error_detected;
-  result.corrected = inner_result.corrected;
+  std::array<std::uint64_t, codec::BitSlab::kLanes> values{};
   for (std::size_t l = 0; l < received.lanes(); ++l) {
-    const ecc::BitVec word = inner_result.messages.transpose_out(l);
-    if (word.popcount() > coder_.max_weight()) {
-      // Outside the bounded-weight set: detectable even for the pure
-      // (distance-1) form; the lane's message stays zero.
+    const ecc::BitVec word = result.messages.transpose_out(l);
+    // Outside the bounded-weight set (detectable even for the pure,
+    // distance-1 form), or a valid word outside the 2^k message range:
+    // the lane's message stays zero.
+    const bool bounded = word.popcount() <= coder_.max_weight();
+    const std::uint64_t value = bounded ? coder_.rank(word) : 0;
+    if (!bounded || (k < 63 && value >= (std::uint64_t{1} << k)))
       result.error_detected |= std::uint64_t{1} << l;
-      continue;
-    }
-    const std::uint64_t value = coder_.rank(word);
-    if (k < 63 && value >= (std::uint64_t{1} << k)) {
-      // Valid bounded-weight word, but outside the 2^k message range.
-      result.error_detected |= std::uint64_t{1} << l;
-      continue;
-    }
-    for (std::size_t i = 0; i < k; ++i)
-      result.messages.word(i) |= ((value >> i) & 1u) << l;
+    else
+      values[l] = value;
   }
+  result.messages = codec::BitSlab(k, received.lanes());
+  result.messages.set_lane_words(0, values);
   return result;
 }
 

@@ -79,9 +79,9 @@ class CoolingScheme : public ecc::BlockCode {
 
   /// Bitsliced wraps: the inner FEC runs its batch kernel; the
   /// enumerative rank/unrank stays lane-serial (it is a data-dependent
-  /// walk of Pascal's triangle) but works on whole 64-bit lane values,
-  /// so the FEC datapath still dominates.  Bit-identical to the scalar
-  /// path.
+  /// walk of Pascal's triangle), with the lanes moved out of and back
+  /// into the slab by the BitSlab block-transpose converters.
+  /// Bit-identical to the scalar path.
   [[nodiscard]] codec::BitSlab encode_batch(
       const codec::BitSlab& messages) const override;
   [[nodiscard]] ecc::BatchDecodeResult decode_batch(

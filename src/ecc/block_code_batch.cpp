@@ -5,6 +5,8 @@
 #include "photecc/ecc/block_code.hpp"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace photecc::ecc {
 
@@ -12,16 +14,9 @@ codec::BitSlab BlockCode::encode_batch(const codec::BitSlab& messages) const {
   if (messages.bits() != message_length())
     throw std::invalid_argument(name() +
                                 "::encode_batch: message size mismatch");
-  codec::BitSlab out(block_length(), messages.lanes());
-  for (std::size_t l = 0; l < messages.lanes(); ++l) {
-    const BitVec codeword = encode(messages.transpose_out(l));
-    const std::span<const std::uint64_t> words = codeword.words();
-    for (std::size_t i = 0; i < codeword.size(); ++i) {
-      const std::uint64_t bit = (words[i / 64] >> (i % 64)) & 1u;
-      out.word(i) |= bit << l;
-    }
-  }
-  return out;
+  std::vector<BitVec> lanes = messages.transpose_out();
+  for (BitVec& lane : lanes) lane = encode(lane);
+  return codec::BitSlab::transpose_in(lanes);
 }
 
 BatchDecodeResult BlockCode::decode_batch(
@@ -30,17 +25,14 @@ BatchDecodeResult BlockCode::decode_batch(
     throw std::invalid_argument(name() +
                                 "::decode_batch: block size mismatch");
   BatchDecodeResult result;
-  result.messages = codec::BitSlab(message_length(), received.lanes());
-  for (std::size_t l = 0; l < received.lanes(); ++l) {
-    const DecodeResult lane = decode(received.transpose_out(l));
-    const std::span<const std::uint64_t> words = lane.message.words();
-    for (std::size_t i = 0; i < lane.message.size(); ++i) {
-      const std::uint64_t bit = (words[i / 64] >> (i % 64)) & 1u;
-      result.messages.word(i) |= bit << l;
-    }
+  std::vector<BitVec> lanes = received.transpose_out();
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    DecodeResult lane = decode(lanes[l]);
+    lanes[l] = std::move(lane.message);
     if (lane.error_detected) result.error_detected |= std::uint64_t{1} << l;
     if (lane.corrected) result.corrected |= std::uint64_t{1} << l;
   }
+  result.messages = codec::BitSlab::transpose_in(lanes);
   return result;
 }
 

@@ -7,6 +7,12 @@
 // batches — no virtual dispatch and no per-bit addressing in the inner
 // loop (see ecc::BlockCode::encode_batch / decode_batch).
 //
+// The converters between BitVecs and a slab are word-parallel: each
+// 64-bit column block of up to 64 lanes moves as one 64x64 bit-matrix
+// block transpose (6 rounds of 32 masked XOR swaps), never bit by bit.
+// lane_words / set_lane_words expose one such block, for codecs that
+// handle whole lane values (the cooling codes' rank/unrank).
+//
 // The class lives in the ecc include tree so the code classes can
 // implement batch kernels against it without a dependency cycle, but it
 // belongs to the photecc::codec namespace — the batch datapath module
@@ -20,6 +26,7 @@
 #ifndef PHOTECC_ECC_BITSLAB_HPP
 #define PHOTECC_ECC_BITSLAB_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -76,6 +83,21 @@ class BitSlab {
 
   /// All lanes, in lane order.
   [[nodiscard]] std::vector<ecc::BitVec> transpose_out() const;
+
+  /// Backing word `block` of every lane (element l = bits [64 block,
+  /// 64 block + 64) of lane l, zero past bits() and for lanes past
+  /// lanes()): one block transpose, no allocation — the lane-value
+  /// gather for codecs whose words fit 64 bits.  Throws
+  /// std::out_of_range when 64 * block >= bits().
+  [[nodiscard]] std::array<std::uint64_t, kLanes> lane_words(
+      std::size_t block) const;
+
+  /// The inverse of lane_words: overwrites bit positions [64 block,
+  /// min(64 block + 64, bits())) so that lane l holds words[l] there.
+  /// Words of lanes past lanes() and bits past bits() are dropped.
+  /// Throws std::out_of_range when 64 * block >= bits().
+  void set_lane_words(std::size_t block,
+                      std::array<std::uint64_t, kLanes> words);
 
   /// Copies bit positions [offset, offset + count) into a new slab with
   /// the same lane count.  Throws std::out_of_range on overflow.

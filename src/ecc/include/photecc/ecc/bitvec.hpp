@@ -9,6 +9,10 @@
 #include <string>
 #include <vector>
 
+namespace photecc::codec {
+class BitSlab;
+}  // namespace photecc::codec
+
 namespace photecc::ecc {
 
 /// Fixed-size-after-construction vector of bits stored in 64-bit words.
@@ -79,6 +83,9 @@ class BitVec {
   }
 
  private:
+  // The batch converters fill whole backing words, bits past size() zero.
+  friend class codec::BitSlab;
+
   static std::size_t word_count(std::size_t bits) noexcept {
     return (bits + 63) / 64;
   }

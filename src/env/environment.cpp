@@ -210,7 +210,7 @@ EnvironmentTimeline::phase_windows(double horizon_s) const {
         std::string label = phase.label.empty()
                                 ? "phase" + std::to_string(i)
                                 : phase.label;
-        if (repeat > 0) label += "#" + std::to_string(repeat);
+        if (repeat > 0) label.append("#").append(std::to_string(repeat));
         push(std::move(label), t, t + phase.duration_s);
         t += phase.duration_s;
         ++i;

@@ -52,7 +52,9 @@ class FdStreamBuf : public std::streambuf {
     const char* data = pbase();
     std::size_t remaining = static_cast<std::size_t>(pptr() - pbase());
     while (remaining > 0) {
-      const ssize_t n = ::write(fd_, data, remaining);
+      // MSG_NOSIGNAL: a client that hung up yields EPIPE (this client's
+      // stream fails) instead of a SIGPIPE that ends the daemon.
+      const ssize_t n = ::send(fd_, data, remaining, MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) continue;  // retry interrupted writes
       if (n <= 0) return false;
       data += n;

@@ -944,6 +944,17 @@ void validate(const ExperimentSpec& spec) {
       throw SpecError("network.tile_count",
                       "a tiled network needs >= 2 tiles, got " +
                           std::to_string(net.tile_count));
+    // The single-channel 'noc' evaluator draws traffic over the network's
+    // tiles but simulates one channel of the link's ONIs, one per tile.
+    if (resolved_evaluator(spec) == "noc" &&
+        net.tile_count > min_oni_count(spec))
+      throw SpecError("network.tile_count",
+                      "the 'noc' evaluator simulates one channel with one "
+                      "ONI per tile, but tile_count " +
+                          std::to_string(net.tile_count) +
+                          " exceeds the smallest ONI count " +
+                          std::to_string(min_oni_count(spec)) +
+                          " in this spec; use the 'network' evaluator");
     if (net.channel_count < 1 || net.channel_count > net.tile_count)
       throw SpecError("network.channel_count",
                       "must be in [1, tile_count], got " +

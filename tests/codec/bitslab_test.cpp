@@ -1,10 +1,13 @@
 // BitSlab container contract: transpose round trips (the converters the
-// batch-kernel bit-identity proofs rest on), slice/paste geometry, the
-// lane-mask invariant, and the error-injection engine's distribution
-// and determinism.
+// batch-kernel bit-identity proofs rest on) pinned bit for bit against a
+// per-bit reference, slice/paste geometry, the lane-mask invariant, and
+// the error-injection engine's distribution and determinism.
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +29,134 @@ std::vector<ecc::BitVec> random_batch(std::size_t bits, std::size_t lanes,
     batch.push_back(v);
   }
   return batch;
+}
+
+// Reference converters: the per-bit gather and scatter.  The block-
+// transpose converters must match them bit for bit.
+BitSlab reference_transpose_in(const std::vector<ecc::BitVec>& batch) {
+  BitSlab slab(batch[0].size(), batch.size());
+  for (std::size_t l = 0; l < batch.size(); ++l) {
+    const std::span<const std::uint64_t> lane_words = batch[l].words();
+    for (std::size_t i = 0; i < slab.bits(); ++i) {
+      const std::uint64_t bit = (lane_words[i / 64] >> (i % 64)) & 1u;
+      slab.word(i) |= bit << l;
+    }
+  }
+  return slab;
+}
+
+ecc::BitVec reference_transpose_out(const BitSlab& slab, std::size_t lane) {
+  ecc::BitVec out(slab.bits());
+  for (std::size_t i = 0; i < slab.bits(); ++i) {
+    if ((slab.word(i) >> lane) & 1u) out.set(i, true);
+  }
+  return out;
+}
+
+/// Every lane's word with all bits set, or random bits.
+std::vector<ecc::BitVec> oracle_batch(std::size_t bits, std::size_t lanes,
+                                      bool all_ones, math::Xoshiro256& rng) {
+  std::vector<ecc::BitVec> batch;
+  batch.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    ecc::BitVec v(bits);
+    for (std::size_t i = 0; i < bits; ++i)
+      v.set(i, all_ones || (rng() & 1u) != 0);
+    batch.push_back(v);
+  }
+  return batch;
+}
+
+/// Bits 1..130 cover every partial first and second block; 191..193 and
+/// 256 cover the edges of the third and fourth.
+std::vector<std::size_t> oracle_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t bits = 1; bits <= 130; ++bits) sizes.push_back(bits);
+  for (const std::size_t bits : {191, 192, 193, 256}) sizes.push_back(bits);
+  return sizes;
+}
+
+constexpr std::array<std::size_t, 6> kOracleLanes = {1, 2, 31, 33, 63, 64};
+
+void expect_zero_past_size(const ecc::BitVec& v, const std::string& what) {
+  if (v.size() % 64 == 0) return;
+  EXPECT_EQ(v.words().back() >> (v.size() % 64), 0u) << what;
+}
+
+TEST(BitSlabOracle, TransposeInMatchesPerBitGather) {
+  math::Xoshiro256 rng(0x0AC1E);
+  for (const std::size_t bits : oracle_sizes()) {
+    for (const std::size_t lanes : kOracleLanes) {
+      for (const bool all_ones : {false, true}) {
+        const std::string what = "bits=" + std::to_string(bits) +
+                                 " lanes=" + std::to_string(lanes) +
+                                 (all_ones ? " ones" : " random");
+        const auto batch = oracle_batch(bits, lanes, all_ones, rng);
+        const BitSlab slab = BitSlab::transpose_in(batch);
+        ASSERT_EQ(slab, reference_transpose_in(batch)) << what;
+        for (std::size_t i = 0; i < slab.bits(); ++i)
+          ASSERT_EQ(slab.word(i) & ~slab.lane_mask(), 0u) << what;
+      }
+    }
+  }
+}
+
+TEST(BitSlabOracle, TransposeOutMatchesPerBitScatter) {
+  // Slabs filled directly (not via transpose_in), with every active
+  // lane bit random or set, so the out converters face arbitrary input.
+  math::Xoshiro256 rng(0x0AC1F);
+  for (const std::size_t bits : oracle_sizes()) {
+    for (const std::size_t lanes : kOracleLanes) {
+      for (const bool all_ones : {false, true}) {
+        const std::string what = "bits=" + std::to_string(bits) +
+                                 " lanes=" + std::to_string(lanes) +
+                                 (all_ones ? " ones" : " random");
+        BitSlab slab(bits, lanes);
+        for (std::size_t i = 0; i < bits; ++i)
+          slab.word(i) = (all_ones ? ~std::uint64_t{0} : rng()) &
+                         slab.lane_mask();
+        const std::vector<ecc::BitVec> all = slab.transpose_out();
+        ASSERT_EQ(all.size(), lanes) << what;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const ecc::BitVec expected = reference_transpose_out(slab, l);
+          ASSERT_EQ(all[l], expected) << what << " lane " << l;
+          ASSERT_EQ(slab.transpose_out(l), expected) << what << " lane " << l;
+          expect_zero_past_size(all[l], what);
+          expect_zero_past_size(slab.transpose_out(l), what);
+        }
+      }
+    }
+  }
+}
+
+TEST(BitSlabOracle, LaneWordsAreTheBlockConverters) {
+  math::Xoshiro256 rng(0x0AC20);
+  for (const std::size_t bits : {std::size_t{5}, std::size_t{64},
+                                 std::size_t{71}, std::size_t{193}}) {
+    for (const std::size_t lanes : kOracleLanes) {
+      const auto batch = oracle_batch(bits, lanes, false, rng);
+      const BitSlab slab = BitSlab::transpose_in(batch);
+      BitSlab rebuilt(bits, lanes);
+      for (std::size_t b = 0; 64 * b < bits; ++b) {
+        std::array<std::uint64_t, BitSlab::kLanes> words = slab.lane_words(b);
+        for (std::size_t l = 0; l < BitSlab::kLanes; ++l) {
+          const std::uint64_t expected = l < lanes ? batch[l].words()[b] : 0;
+          ASSERT_EQ(words[l], expected) << "block " << b << " lane " << l;
+        }
+        // Words of lanes past lanes() and bits past bits() are dropped.
+        for (std::size_t l = lanes; l < BitSlab::kLanes; ++l)
+          words[l] = ~std::uint64_t{0};
+        if (bits - 64 * b < 64)
+          for (std::size_t l = 0; l < lanes; ++l)
+            words[l] |= ~std::uint64_t{0} << (bits - 64 * b);
+        rebuilt.set_lane_words(b, words);
+      }
+      EXPECT_EQ(rebuilt, slab) << "bits=" << bits << " lanes=" << lanes;
+    }
+  }
+  BitSlab slab(64, 3);
+  EXPECT_THROW((void)slab.lane_words(1), std::out_of_range);
+  EXPECT_THROW(slab.set_lane_words(1, {}), std::out_of_range);
 }
 
 TEST(BitSlab, ConstructionValidatesLaneCount) {

@@ -7,10 +7,14 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "photecc/codec/bitslab.hpp"
 #include "photecc/ecc/registry.hpp"
+#include "photecc/math/rng.hpp"
 
 namespace photecc::cooling {
 namespace {
@@ -154,6 +158,62 @@ TEST(CoolingScheme, DecodedBerFollowsTheMessageScramblingModel) {
   }
   // Strictly increasing (required by the numeric raw-BER inversion).
   EXPECT_LT(wrapped->decoded_ber(1e-9), wrapped->decoded_ber(1e-8));
+}
+
+TEST(CoolingScheme, PartialSlabBatchesMatchScalarForEveryBenchWrap) {
+  // Every COOL wrap of the Monte-Carlo bench menu, slabs of fewer than
+  // 64 lanes: the batch path gathers and scatters lane values through
+  // block transposes, so the unused lanes must neither leak in nor out.
+  // Raw error rates up to 0.3 push words outside the bounded-weight set.
+  register_cooling_codes();
+  math::Xoshiro256 rng(0xC001);
+  for (const char* name : {"COOL(8,2)", "COOL(16,4)", "COOL(H(7,4),1)",
+                           "COOL(BCH(15,7,2),3)", "COOL(H(71,64),16)"}) {
+    const auto code = ecc::make_code(name);
+    for (const std::size_t lanes : {1, 2, 31, 33, 63, 64}) {
+      for (const double p : {0.0, 0.02, 0.3}) {
+        const std::string what = std::string(name) + " lanes=" +
+                                 std::to_string(lanes) +
+                                 " p=" + std::to_string(p);
+        std::vector<ecc::BitVec> messages;
+        std::vector<ecc::BitVec> received;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          ecc::BitVec message(code->message_length());
+          for (std::size_t i = 0; i < message.size(); ++i)
+            message.set(i, rng.bernoulli(0.5));
+          ecc::BitVec word = code->encode(message);
+          for (std::size_t i = 0; i < word.size(); ++i)
+            if (rng.bernoulli(p)) word.flip(i);
+          messages.push_back(message);
+          received.push_back(word);
+        }
+        const codec::BitSlab encoded =
+            code->encode_batch(codec::BitSlab::transpose_in(messages));
+        const ecc::BatchDecodeResult decoded =
+            code->decode_batch(codec::BitSlab::transpose_in(received));
+        ASSERT_EQ(encoded.lanes(), lanes) << what;
+        ASSERT_EQ(decoded.messages.lanes(), lanes) << what;
+        for (std::size_t i = 0; i < decoded.messages.bits(); ++i)
+          ASSERT_EQ(decoded.messages.word(i) & ~decoded.messages.lane_mask(),
+                    0u)
+              << what;
+        EXPECT_EQ(decoded.error_detected & ~encoded.lane_mask(), 0u) << what;
+        EXPECT_EQ(decoded.corrected & ~encoded.lane_mask(), 0u) << what;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(encoded.transpose_out(l), code->encode(messages[l]))
+              << what << " lane " << l;
+          const ecc::DecodeResult scalar = code->decode(received[l]);
+          EXPECT_EQ(decoded.messages.transpose_out(l), scalar.message)
+              << what << " lane " << l;
+          EXPECT_EQ(((decoded.error_detected >> l) & 1u) != 0,
+                    scalar.error_detected)
+              << what << " lane " << l;
+          EXPECT_EQ(((decoded.corrected >> l) & 1u) != 0, scalar.corrected)
+              << what << " lane " << l;
+        }
+      }
+    }
+  }
 }
 
 TEST(CoolingRegistry, MakeCodeResolvesCoolingNames) {

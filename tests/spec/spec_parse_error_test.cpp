@@ -4,6 +4,8 @@
 // never a partially-filled spec.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -123,6 +125,33 @@ TEST(SpecParseErrors, NetworkSectionIsValidated) {
   const std::string missing_kind_message =
       spec_error_of(R"js({"photecc_spec": 3, "network": {}})js");
   EXPECT_NE(missing_kind_message.find("network.kind"), std::string::npos);
+}
+
+TEST(SpecParseErrors, NocEvaluatorRejectsMoreTilesThanOnis) {
+  // The shipped network spec (16 tiles) forced onto the single-channel
+  // 'noc' evaluator: the paper link has 12 ONIs, so tiles 12..15 would
+  // have no ONI to send from.
+  std::ifstream in(PHOTECC_SOURCE_DIR "/examples/specs/network.json");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::string document = buffer.str();
+  const std::string evaluator = R"js("evaluator": "auto")js";
+  ASSERT_NE(document.find(evaluator), std::string::npos);
+  document.replace(document.find(evaluator), evaluator.size(),
+                   R"js("evaluator": "noc")js");
+  const std::string message = spec_error_of(document);
+  EXPECT_NE(message.find("network.tile_count"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("exceeds the smallest ONI count 12"),
+            std::string::npos)
+      << message;
+
+  // Up to the ONI count the 'noc' evaluator runs the network's traffic.
+  const std::string tiles = R"js("tile_count": 16)js";
+  ASSERT_NE(document.find(tiles), std::string::npos);
+  document.replace(document.find(tiles), tiles.size(),
+                   R"js("tile_count": 12)js");
+  EXPECT_EQ(spec_error_of(document), "(accepted)");
 }
 
 TEST(SpecParseErrors, EnvironmentsInsideV1DocumentPointAtTheVersion) {

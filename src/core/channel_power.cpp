@@ -136,20 +136,23 @@ ChannelSweepPlan::ChannelSweepPlan(const link::MwsrChannel& channel,
   }
 }
 
-SchemeMetrics ChannelSweepPlan::evaluate_with_requirement(
-    std::size_t code_index, double target_ber, double raw_ber) const {
-  return evaluate_with_solution(
-      code_index, target_ber, raw_ber,
-      math::snr_from_ber_clamped(modulation_, raw_ber));
+namespace {
+
+bool outside_target_range(double target_ber) {
+  return target_ber <= 0.0 || target_ber >= 0.5;
 }
 
-SchemeMetrics ChannelSweepPlan::evaluate_with_solution(
-    std::size_t code_index, double target_ber, double raw_ber,
-    double snr) const {
-  if (target_ber <= 0.0 || target_ber >= 0.5)
-    throw std::domain_error(
-        "ChannelSweepPlan: target BER outside (0, 0.5)");
-  const CodeInvariants& inv = codes_.at(code_index);
+constexpr const char* kTargetRangeError =
+    "ChannelSweepPlan: target BER outside (0, 0.5)";
+
+}  // namespace
+
+// Forced inline: evaluate_with_solution is the lowered sweep plan's
+// per-cell entry, and sharing this tail with evaluate(.., environment)
+// must not add a call per cell there.
+[[gnu::always_inline]] inline SchemeMetrics ChannelSweepPlan::assemble(
+    const CodeInvariants& inv, double target_ber, double raw_ber,
+    double snr, const env::EnvironmentSample& environment) const {
   SchemeMetrics m;
   m.scheme = inv.name;
   m.modulation = modulation_;
@@ -157,7 +160,7 @@ SchemeMetrics ChannelSweepPlan::evaluate_with_solution(
   m.code_rate = inv.code_rate;
   m.ct = inv.communication_time / bits_per_symbol_;
   m.operating_point = solver_.solve_from_snr(raw_ber, snr, target_ber,
-                                             environment_, inv.duty_bound);
+                                             environment, inv.duty_bound);
   m.feasible = m.operating_point.feasible;
   m.duty_bound = inv.duty_bound;
 
@@ -172,6 +175,35 @@ SchemeMetrics ChannelSweepPlan::evaluate_with_solution(
     m.p_interconnect_w = m.p_waveguide_w * waveguides_d_ * oni_d_;
   }
   return m;
+}
+
+SchemeMetrics ChannelSweepPlan::evaluate_with_requirement(
+    std::size_t code_index, double target_ber, double raw_ber) const {
+  return evaluate_with_solution(
+      code_index, target_ber, raw_ber,
+      math::snr_from_ber_clamped(modulation_, raw_ber));
+}
+
+SchemeMetrics ChannelSweepPlan::evaluate_with_solution(
+    std::size_t code_index, double target_ber, double raw_ber,
+    double snr) const {
+  if (outside_target_range(target_ber))
+    throw std::domain_error(kTargetRangeError);
+  return assemble(codes_.at(code_index), target_ber, raw_ber, snr,
+                  environment_);
+}
+
+SchemeMetrics ChannelSweepPlan::evaluate(
+    std::size_t code_index, double target_ber,
+    const env::EnvironmentSample& environment) const {
+  if (outside_target_range(target_ber))
+    throw std::domain_error(kTargetRangeError);
+  const CodeInvariants& inv = codes_.at(code_index);
+  const double raw_ber =
+      inv.code->required_raw_ber_checked(target_ber).raw_ber;
+  return assemble(inv, target_ber, raw_ber,
+                  math::snr_from_ber_clamped(modulation_, raw_ber),
+                  environment);
 }
 
 SchemeMetrics ChannelSweepPlan::evaluate(std::size_t code_index,

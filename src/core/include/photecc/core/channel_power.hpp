@@ -122,6 +122,15 @@ class ChannelSweepPlan {
       std::size_t code_index, double target_ber,
       ecc::RawBerSolveTrace* trace = nullptr) const;
 
+  /// Same, at an explicit environment sample — the LinkManager's entry
+  /// point.  Bit-identical to evaluate_scheme(channel,
+  /// *codes[code_index], target_ber, config, environment), with the
+  /// same evaluation order: the target range is checked before the
+  /// code's raw-BER inversion runs.
+  [[nodiscard]] SchemeMetrics evaluate(
+      std::size_t code_index, double target_ber,
+      const env::EnvironmentSample& environment) const;
+
   /// Tail of evaluate() from a precomputed raw-BER requirement (the
   /// explore plan's shared (code, BER) table).  `raw_ber` must equal
   /// code.required_raw_ber(target_ber) for bit-identity.
@@ -148,6 +157,11 @@ class ChannelSweepPlan {
     double p_enc_dec_w = 0.0;
     double duty_bound = 1.0;
   };
+
+  /// The closed-form tail shared by every entry point (no range check).
+  [[nodiscard]] SchemeMetrics assemble(
+      const CodeInvariants& inv, double target_ber, double raw_ber,
+      double snr, const env::EnvironmentSample& environment) const;
 
   const link::MwsrChannel* channel_;
   link::OperatingPointSolver solver_;

@@ -63,12 +63,32 @@ struct LinkConfiguration {
 };
 
 /// Centralised manager for one MWSR channel.
+///
+/// The manager resolves requests at run time, so construction hoists
+/// everything that does not depend on the request into a
+/// ChannelSweepPlan over the owned channel: the O(NW^2) worst-channel
+/// scan, T_eye/T_xt and the detector constants
+/// (link::OperatingPointSolver), and per code the rate, CT,
+/// P_ENC+DEC, duty bound and ring power.  configure() and candidates()
+/// then pay only the per-code raw-BER inversion and the closed-form
+/// tail, bit-identical to evaluate_schemes(channel(), codes(),
+/// target_ber, config(), environment).
+///
+/// The plan points into the manager's own channel, so a LinkManager is
+/// neither copyable nor movable; share one through
+/// std::shared_ptr<const LinkManager> (as RecalibratingManager and
+/// noc::NetworkSimulator do).
 class LinkManager {
  public:
   /// `codes` is the scheme menu (paper: uncoded, H(71,64), H(7,4)).
+  /// Throws std::invalid_argument for an empty menu, a null code or a
+  /// SystemConfig with zero wavelengths or a non-positive f_mod_hz.
   LinkManager(link::MwsrChannel channel,
               std::vector<ecc::BlockCodePtr> codes,
               SystemConfig config = {});
+
+  LinkManager(const LinkManager&) = delete;
+  LinkManager& operator=(const LinkManager&) = delete;
 
   /// Resolves a request to a configuration, or std::nullopt when no
   /// scheme meets all constraints (the caller may relax the request).
@@ -113,6 +133,7 @@ class LinkManager {
   link::MwsrChannel channel_;
   std::vector<ecc::BlockCodePtr> codes_;
   SystemConfig config_;
+  ChannelSweepPlan plan_;  ///< hoisted over channel_; declared after it
 };
 
 /// Knobs of the closed recalibration loop.

@@ -30,17 +30,26 @@ const std::vector<Policy>& all_policies() {
   return policies;
 }
 
+namespace {
+
+std::vector<ecc::BlockCodePtr> checked_menu(
+    std::vector<ecc::BlockCodePtr> codes) {
+  if (codes.empty())
+    throw std::invalid_argument("LinkManager: empty scheme menu");
+  for (const auto& code : codes)
+    if (!code) throw std::invalid_argument("LinkManager: null code");
+  return codes;
+}
+
+}  // namespace
+
 LinkManager::LinkManager(link::MwsrChannel channel,
                          std::vector<ecc::BlockCodePtr> codes,
                          SystemConfig config)
     : channel_(std::move(channel)),
-      codes_(std::move(codes)),
-      config_(config) {
-  if (codes_.empty())
-    throw std::invalid_argument("LinkManager: empty scheme menu");
-  for (const auto& code : codes_)
-    if (!code) throw std::invalid_argument("LinkManager: null code");
-}
+      codes_(checked_menu(std::move(codes))),
+      config_(config),
+      plan_(channel_, codes_, config_) {}
 
 std::vector<SchemeMetrics> LinkManager::candidates(double target_ber) const {
   return candidates(target_ber, channel_.environment());
@@ -48,8 +57,11 @@ std::vector<SchemeMetrics> LinkManager::candidates(double target_ber) const {
 
 std::vector<SchemeMetrics> LinkManager::candidates(
     double target_ber, const env::EnvironmentSample& environment) const {
-  return evaluate_schemes(channel_, codes_, target_ber, config_,
-                          environment);
+  std::vector<SchemeMetrics> out;
+  out.reserve(plan_.code_count());
+  for (std::size_t i = 0; i < plan_.code_count(); ++i)
+    out.push_back(plan_.evaluate(i, target_ber, environment));
+  return out;
 }
 
 std::optional<LinkConfiguration> LinkManager::configure(

@@ -34,7 +34,7 @@ void finalize_stats(
 }
 
 void run_channel(std::vector<Message>& messages, const ChannelParams& params,
-                 const std::shared_ptr<const core::LinkManager>& manager,
+                 core::RecalibratingManager& manager,
                  const std::function<bool(const core::CommunicationRequest&)>&
                      baseline_feasible,
                  const std::vector<ChannelSink>& sinks) {
@@ -42,7 +42,7 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
   const double f_mod = params.f_mod_hz;
   const bool has_env = params.has_env;
   const env::EnvironmentTimeline& timeline = *params.timeline;
-  const core::RecalibrationConfig& recal_config = params.recalibration;
+  const core::RecalibrationConfig& recal_config = manager.config();
   static const std::vector<env::EnvironmentTimeline::PhaseWindow> kNoWindows;
   const auto& windows = params.windows ? *params.windows : kNoWindows;
 
@@ -66,11 +66,10 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
   double last_idle_power_w = 0.0;  // laser power of the last config
   double last_busy_end = 0.0;
 
-  // Closed loop state: the environment integrator (fed with measured
-  // busy fractions) and the recalibrating manager wrapping the
-  // static solver with drift hysteresis.
+  // Closed loop state: the environment integrator, fed with measured
+  // busy fractions; `manager` wraps the static solver with drift
+  // hysteresis.
   env::ThermalIntegrator integrator{timeline};
-  core::RecalibratingManager recal{manager, recal_config};
   double last_advance_t = 0.0;
   double busy_since_advance = 0.0;
   // Grant times are monotone per channel, so the phase lookup is an
@@ -143,7 +142,7 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
     request.policy = req.policy;
     request.max_ct = req.max_ct;
     request.max_channel_power_w = req.max_channel_power_w;
-    const auto outcome = recal.configure(request, sample);
+    const auto outcome = manager.configure(request, sample);
     if (!outcome.configuration) {
       for (const ChannelSink& sink : sinks) ++sink.stats->dropped;
       if (has_env) {
@@ -258,9 +257,9 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
           std::max(sink.stats->peak_activity, final_sample.activity);
       sink.stats->final_activity =
           std::max(sink.stats->final_activity, final_sample.activity);
-      sink.stats->recalibrations += recal.stats().recalibrations;
-      sink.stats->recalibration_energy_j += recal.stats().energy_j;
-      sink.stats->recalibration_latency_s += recal.stats().latency_s;
+      sink.stats->recalibrations += manager.stats().recalibrations;
+      sink.stats->recalibration_energy_j += manager.stats().energy_j;
+      sink.stats->recalibration_latency_s += manager.stats().latency_s;
     }
   }
 }

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "photecc/core/manager.hpp"
@@ -67,7 +66,6 @@ struct ChannelParams {
   bool has_env = false;
   const env::EnvironmentTimeline* timeline = nullptr;
   const std::vector<env::EnvironmentTimeline::PhaseWindow>* windows = nullptr;
-  core::RecalibrationConfig recalibration{};
   /// Per-class requirements; classes not present use the default.
   const std::map<TrafficClass, ClassRequirements>* class_requirements =
       nullptr;
@@ -75,13 +73,27 @@ struct ChannelParams {
 };
 
 /// Simulates one channel's schedule (sorted in place by creation time)
-/// and accumulates into every sink.  `baseline_feasible` classifies a
-/// drop as thermal when the request is feasible at the t = 0 baseline;
-/// it is consulted only on drops under an environment timeline, and the
-/// caller owns any caching (NetworkSimulator shares one cache across
-/// channels that share one manager).
+/// and accumulates into every sink.
+///
+/// `manager` resolves every grant (its config supplies the
+/// recalibration latency charged to drift-triggered re-solves).  The
+/// caller owns it, so one cache can serve several channels: that is
+/// exact only when they share one LinkManager AND run without an
+/// environment timeline — every grant then samples the same constant
+/// t = 0 environment, nothing drifts, and a shared cache answers each
+/// distinct request with one cold solve for all of them.  A channel
+/// under a timeline needs its own manager, because its closed loop
+/// (integrator state, drift, recalibration count) diverges from every
+/// other channel's; its recalibration totals are read from the
+/// manager's stats at the end of the run and added to the sinks.
+///
+/// `baseline_feasible` classifies a drop as thermal when the request
+/// is feasible at the t = 0 baseline; it is consulted only on drops
+/// under an environment timeline, and the caller owns any caching
+/// (NetworkSimulator shares one cache across channels that share one
+/// manager).
 void run_channel(std::vector<Message>& messages, const ChannelParams& params,
-                 const std::shared_ptr<const core::LinkManager>& manager,
+                 core::RecalibratingManager& manager,
                  const std::function<bool(const core::CommunicationRequest&)>&
                      baseline_feasible,
                  const std::vector<ChannelSink>& sinks);

@@ -13,7 +13,9 @@
 //  * every channel may override the manager's coding-scheme menu, its
 //    ring load and its thermal environment timeline — hot-spot readers
 //    can run strong codes while cool edge channels stay uncoded.
-//    Channels without overrides share one manager.
+//    Channels without overrides share one manager; those of them
+//    without an environment timeline also share one solve cache (one
+//    menu solve per distinct request per run, see channel_engine.hpp).
 //
 // Energy accounting follows the paper's power model: the laser burns
 // Plaser(scheme) per wavelength while transmitting; with laser gating
@@ -63,8 +65,9 @@ struct DeliveredMessage {
   bool deadline_missed = false;
   /// Environment activity sampled when this transfer was configured.
   double activity = 0.0;
-  /// True when this transfer forced a manager re-solve (drift past the
-  /// hysteresis band, or the first transfer of its request).
+  /// True when this transfer forced a drift-triggered manager re-solve
+  /// (activity past the hysteresis band); the cold first solve of a
+  /// request is not flagged.
   bool recalibrated = false;
 };
 

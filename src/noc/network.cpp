@@ -1,6 +1,7 @@
 #include "photecc/noc/network.hpp"
 
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -162,7 +163,6 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
   params.flight_time_s = config_.flight_time_s;
   params.horizon_s = horizon_s;
   params.keep_log = keep_log;
-  params.recalibration = config_.recalibration;
   params.class_requirements = &config_.class_requirements;
   params.default_requirements = &config_.default_requirements;
 
@@ -175,12 +175,14 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
   aggregate.phase_stats = shared_env ? &agg_phase_stats : nullptr;
   aggregate.phase_latency = shared_env ? &agg_phase_latency : nullptr;
 
-  // Baseline (t = 0) feasibility per request, for classifying drops as
-  // thermal: solved lazily against the channel's manager and cached per
-  // manager, so channels sharing one manager share one cache.
-  using FeasibilityCache =
-      std::vector<std::pair<core::CommunicationRequest, bool>>;
-  std::map<const core::LinkManager*, FeasibilityCache> baseline_caches;
+  // One solve cache per manager, at the manager's t = 0 sample.
+  // Channels without a timeline always sample exactly that, so they
+  // share it and pay one cold solve per distinct request however many
+  // channels carry it.  Channels under a timeline run their own closed
+  // loops (see run_channel) and consult it only to classify a drop as
+  // thermal: feasible at the t = 0 baseline, infeasible now.
+  std::map<const core::LinkManager*, core::RecalibratingManager>
+      baseline_managers;
 
   for (std::size_t ch = 0; ch < channel_count; ++ch) {
     params.channel_index = ch;
@@ -206,17 +208,19 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
     sink.phase_latency = has_env_[ch] ? &phase_latency : nullptr;
 
     const core::LinkManager& manager = *managers_[ch];
-    FeasibilityCache& baseline_cache = baseline_caches[&manager];
-    const auto baseline_feasible =
-        [&](const core::CommunicationRequest& r) {
-          for (const auto& [request, feasible] : baseline_cache)
-            if (request == r) return feasible;
-          const bool feasible = manager.configure(r).has_value();
-          baseline_cache.emplace_back(r, feasible);
-          return feasible;
-        };
-
-    run_channel(per_channel[ch], params, managers_[ch], baseline_feasible,
+    core::RecalibratingManager& baseline =
+        baseline_managers
+            .try_emplace(&manager, managers_[ch], config_.recalibration)
+            .first->second;
+    const env::EnvironmentSample t0 = manager.channel().environment();
+    const auto baseline_feasible = [&](const core::CommunicationRequest& r) {
+      return baseline.configure(r, t0).configuration.has_value();
+    };
+    std::optional<core::RecalibratingManager> own_manager;
+    core::RecalibratingManager& recal =
+        has_env_[ch] ? own_manager.emplace(managers_[ch], config_.recalibration)
+                     : baseline;
+    run_channel(per_channel[ch], params, recal, baseline_feasible,
                 {sink, aggregate});
 
     finalize_stats(channel_stats, latencies, class_latency,

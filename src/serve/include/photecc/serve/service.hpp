@@ -78,8 +78,12 @@ class Service {
   /// Never throws on bad input: every rejection is an "error" record.
   bool handle_line(const std::string& line, std::ostream& out);
 
-  /// Reads request lines from `in` until shutdown or EOF.  Returns
-  /// true for a clean shutdown, false for EOF.
+  /// Reads request lines from `in` until shutdown, EOF or a failed
+  /// `out` (a client that hung up): once a write has failed, no further
+  /// request is read, so pipelined requests nobody will receive are
+  /// neither computed nor cached.  The request in flight when the write
+  /// failed still runs to its end.  Returns true for a clean shutdown,
+  /// false otherwise.
   bool run(std::istream& in, std::ostream& out);
 
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }

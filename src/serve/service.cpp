@@ -183,7 +183,7 @@ bool Service::handle_line(const std::string& line, std::ostream& out) {
 
 bool Service::run(std::istream& in, std::ostream& out) {
   std::string line;
-  while (std::getline(in, line))
+  while (out && std::getline(in, line))
     if (!handle_line(line, out)) return true;
   return false;
 }

@@ -2,6 +2,8 @@
 // a response must not take the daemon down (a plain write to a closed
 // socket raises SIGPIPE, whose default action ends the process), and
 // the next client must still get the full, byte-identical response.
+// Once a write to that client has failed, the daemon stops reading its
+// connection, so the requests it had queued are not computed.
 #include "photecc/serve/socket.hpp"
 
 #include <gtest/gtest.h>
@@ -15,13 +17,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "photecc/ecc/registry.hpp"
 #include "photecc/serve/protocol.hpp"
 #include "photecc/serve/service.hpp"
+#include "photecc/spec/builder.hpp"
 #include "photecc/spec/registries.hpp"
 
 namespace {
@@ -123,6 +130,105 @@ TEST(ServeSocket, ClientHangingUpMidResponseDoesNotEndTheDaemon) {
   server.join();
   EXPECT_TRUE(served) << error;
   EXPECT_EQ(error, "");
+}
+
+/// The unsigned integer after `"key":` in a stats record (0 if absent).
+std::uint64_t stat_field(const std::string& record, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = record.find(needle);
+  if (at == std::string::npos) return 0;
+  return std::stoull(record.substr(at + needle.size()));
+}
+
+// Once a write to a hung-up client has failed, the daemon stops reading
+// that connection: the requests it had pipelined are neither computed
+// nor cached, and the next client is served at once.
+TEST(ServeSocket, HungUpClientsQueuedRequestsAreNotComputed) {
+  const serve::ServiceOptions options{.threads = 1};
+  // A 600-cell sweep (every registry code x 6 BER targets x 5 links):
+  // about 266 KB per response, more than one socket buffer, so a write
+  // to the hung-up client must fail.
+  std::vector<std::string> codes;
+  for (const auto& code : photecc::ecc::all_known_codes())
+    codes.push_back(code->name());
+  const photecc::spec::ExperimentSpec wide =
+      photecc::spec::SpecBuilder()
+          .codes(std::move(codes))
+          .ber_targets({1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11})
+          .links({"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"})
+          .build();
+  const std::string request = serve::sweep_request_line(wide);
+  std::string expected;
+  {
+    serve::Service reference(options);
+    std::ostringstream out;
+    reference.handle_line(request, out);
+    expected = out.str();
+  }
+
+  const std::string path = ::testing::TempDir() + "photecc_socket_tail_" +
+                           std::to_string(::getpid()) + ".sock";
+  serve::Service service(options);
+  bool served = false;
+  std::string error;
+  std::thread server([&] {
+    served = serve::serve_unix_socket(
+        service, {.path = path, .max_connections = 2}, error);
+  });
+
+  // Client 1 pipelines distinct specs (renamed copies, each a
+  // cache miss of about the same size), so every request the daemon
+  // reads is computed and counted.
+  constexpr std::size_t kPipelined = 16;
+  const int first = connect_to(path);
+  ASSERT_GE(first, 0) << "cannot connect to " << path;
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(first, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  std::string burst;
+  for (std::size_t i = 0; i < kPipelined; ++i) {
+    photecc::spec::ExperimentSpec variant = wide;
+    variant.name = "burst-" + std::to_string(i);
+    burst += serve::sweep_request_line(variant) + "\n";
+  }
+  std::thread sender([&] { (void)send_all(first, burst); });
+  const std::string head = receive(first, 100);
+  EXPECT_EQ(head.size(), 100u);
+  ::shutdown(first, SHUT_RDWR);
+  sender.join();
+  ::close(first);
+
+  // Client 2 still gets the whole response, then the stats record.
+  const int second = connect_to(path);
+  ASSERT_GE(second, 0) << "cannot connect to " << path;
+  ASSERT_TRUE(send_all(second, request + "\n" +
+                                   serve::request_line("stats") + "\n"));
+  ::shutdown(second, SHUT_WR);
+  const std::string reply = receive(second, 0);
+  ::close(second);
+  server.join();
+  EXPECT_TRUE(served) << error;
+
+  ASSERT_GE(reply.size(), expected.size());
+  EXPECT_EQ(reply.substr(0, expected.size()), expected);
+  const std::string stats = reply.substr(expected.size());
+  ASSERT_NE(stats.find("\"kind\":\"stats\""), std::string::npos) << stats;
+  // Client 2 made two requests (its sweep, a miss, and the stats).
+  const std::uint64_t requests = stat_field(stats, "requests");
+  const std::uint64_t misses = stat_field(stats, "cache_misses");
+  ASSERT_GE(requests, 3u) << stats;
+  ASSERT_GE(misses, 2u) << stats;
+  const std::uint64_t first_requests = requests - 2;
+  const std::uint64_t first_computed = misses - 1;
+  // Before the hang-up the daemon can have written at most the 100
+  // bytes read plus one socket buffer, so only the responses that fit
+  // there, and the one whose write failed, may have been computed.
+  const std::uint64_t bound =
+      static_cast<std::uint64_t>(sndbuf) / expected.size() + 2;
+  ASSERT_LT(bound, kPipelined) << "socket buffer too large to tell";
+  EXPECT_GE(first_computed, 1u);
+  EXPECT_LE(first_computed, bound) << stats;
+  EXPECT_EQ(first_requests, first_computed) << stats;
 }
 
 }  // namespace
